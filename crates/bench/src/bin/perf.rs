@@ -35,9 +35,9 @@ use std::path::PathBuf;
 
 use nucanet::sweep::write_atomically;
 use nucanet_bench::perf::{
-    baseline_for, giant_sat_throughput, halo_sat_throughput, halo_throughput,
-    mesh_sat_throughput, mesh_throughput, render_perf_json_with_sweep, screening_points,
-    sweep_throughput, warm_speedup, SweepPerfSample,
+    baseline_for, giant_sat_throughput, halo_sat_throughput, halo_throughput, mesh_sat_throughput,
+    mesh_throughput, render_perf_json_with_sweep, screening_points, sweep_throughput, warm_speedup,
+    PerfKnobs, SweepPerfSample,
 };
 use nucanet_bench::{parse_env_u64, sim_threads_from_env};
 
@@ -69,6 +69,7 @@ fn main() {
         "cycle-kernel throughput ({packets} packets per config, best of {repeats}, sim-threads {threads})"
     );
     let cores = env_u64("NUCANET_PERF_CORES", 4) as u16;
+    let knobs = PerfKnobs::new(packets, repeats, cores);
     let samples = vec![
         best_of(repeats, || mesh_throughput(packets, threads)),
         best_of(repeats, || halo_throughput(packets, threads)),
@@ -82,11 +83,12 @@ fn main() {
         .map(|v| v.parse().expect("NUCANET_PERF_MIN_RATIO must be a float"));
     for s in &samples {
         print!(
-            "{:10}  {:>12.0} cycles/s  {:>12.0} flit-hops/s  ({} cycles, {} ms, {} thr)",
+            "{:10}  {:>12.0} cycles/s  {:>12.0} flit-hops/s  ({} cycles, {} router visits, {} ms, {} thr)",
             s.config,
             s.cycles_per_sec(),
             s.flit_hops_per_sec(),
             s.cycles,
+            s.router_visits,
             s.wall.as_millis(),
             s.threads
         );
@@ -147,7 +149,10 @@ fn main() {
         .map(PathBuf::from)
         .unwrap_or_else(|_| PathBuf::from("."));
     let path = dir.join("BENCH_perf.json");
-    match write_atomically(&path, &render_perf_json_with_sweep(&samples, &sweep_samples)) {
+    match write_atomically(
+        &path,
+        &render_perf_json_with_sweep(&knobs, &samples, &sweep_samples),
+    ) {
         Ok(()) => println!("wrote {}", path.display()),
         Err(e) => {
             eprintln!("failed to write {}: {e}", path.display());

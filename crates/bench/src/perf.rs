@@ -34,9 +34,9 @@
 //! therefore only fails on a catastrophic (>3×) regression against the
 //! same-machine baseline ratio, while local runs show the real
 //! speedup. Committed snapshots compare across PRs via
-//! [`parse_trajectory`] / `nucanet perf --baseline PATH`, which
-//! refuses to mix documents from different schema versions
-//! ([`PERF_SCHEMA`]).
+//! [`parse_baseline`] / `nucanet perf --baseline PATH`, which refuses
+//! to mix documents from different schema versions ([`PERF_SCHEMA`])
+//! or taken with different knobs ([`PerfKnobs`]).
 //!
 //! Traffic is generated from a fixed-seed LCG, so a sample simulates
 //! the exact same cycles on every run and machine — wall time is the
@@ -49,7 +49,7 @@ use nucanet::metrics::MetricsCapture;
 use nucanet::sweep::{derive_seed, SweepPoint, SweepRunner};
 use nucanet::{Design, Scheme};
 use nucanet_noc::{
-    Dest, Endpoint, Network, NodeId, Packet, RouterParams, RoutingSpec, Topology,
+    Dest, Endpoint, MulticastStrategy, Network, NodeId, Packet, RouterParams, RoutingSpec, Topology,
 };
 use nucanet_workload::BenchmarkProfile;
 
@@ -94,6 +94,9 @@ pub struct PerfSample {
     pub adaptive_serial_cycles: u64,
     /// Cycles the adaptive gate sharded (including calibration probes).
     pub adaptive_parallel_cycles: u64,
+    /// Router turns the kernel took (summed worklist lengths): a
+    /// deterministic work count, equal for every thread count.
+    pub router_visits: u64,
 }
 
 impl PerfSample {
@@ -160,6 +163,121 @@ pub struct TrajectoryRun {
     pub threads: usize,
     /// Throughput the run recorded.
     pub cycles_per_sec: f64,
+}
+
+/// The knobs a perf document was measured with. Two documents compare
+/// only when all of them agree: `packets` and `cores` change the
+/// simulated traffic (and with it every cycle count), `strategy`
+/// changes the replication kernel, and `repeats` changes the best-of-N
+/// estimator behind every wall time.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct PerfKnobs {
+    /// Packets per configuration.
+    pub packets: u64,
+    /// Runs per configuration; the fastest is kept.
+    pub repeats: u64,
+    /// Injector endpoints driving the `mesh-giant` closed loop.
+    pub cores: u16,
+    /// Multicast replication strategy of every timed network.
+    pub strategy: MulticastStrategy,
+}
+
+impl PerfKnobs {
+    /// The knobs of a run with these counts, taking the strategy the
+    /// timed networks will use (`NUCANET_STRATEGY`, else the Table 1
+    /// default) from the same source they do.
+    #[must_use]
+    pub fn new(packets: u64, repeats: u64, cores: u16) -> Self {
+        PerfKnobs {
+            packets,
+            repeats,
+            cores,
+            strategy: params(1).strategy,
+        }
+    }
+
+    /// The one-line JSON object written under `"knobs"`.
+    fn render(&self) -> String {
+        format!(
+            "{{\"packets\": {}, \"repeats\": {}, \"cores\": {}, \"strategy\": \"{}\"}}",
+            self.packets,
+            self.repeats,
+            self.cores,
+            self.strategy.name()
+        )
+    }
+}
+
+/// Reads the `"knobs"` object of a rendered document.
+///
+/// # Errors
+///
+/// Returns a message when the document records no knobs (it predates
+/// them) or a knob is malformed.
+fn parse_knobs(json: &str) -> Result<PerfKnobs, String> {
+    let start = json.find("\"knobs\": {").ok_or_else(|| {
+        "the file records no run knobs (packets, repeats, cores, strategy), so \
+         nothing shows it was measured like this run; re-record the reference with \
+         the current binary"
+            .to_string()
+    })?;
+    let obj = &json[start..];
+    let obj = &obj[..=obj.find('}').unwrap_or(obj.len() - 1)];
+    let bad = |k: &str| format!("malformed knob \"{k}\" in BENCH_perf document");
+    Ok(PerfKnobs {
+        packets: num_field(obj, "packets").ok_or_else(|| bad("packets"))? as u64,
+        repeats: num_field(obj, "repeats").ok_or_else(|| bad("repeats"))? as u64,
+        cores: num_field(obj, "cores").ok_or_else(|| bad("cores"))? as u16,
+        strategy: str_field(obj, "strategy")
+            .and_then(MulticastStrategy::parse)
+            .ok_or_else(|| bad("strategy"))?,
+    })
+}
+
+/// Reads a recorded `BENCH_perf*.json` document as the baseline for a
+/// run taken with `knobs`: [`parse_trajectory`]'s schema check, then a
+/// refusal unless the document's knobs equal `knobs`.
+///
+/// # Errors
+///
+/// Everything [`parse_trajectory`] refuses; a document that records no
+/// knobs or a malformed one; and knobs that differ, with a message
+/// naming each.
+///
+/// ```
+/// use nucanet_bench::perf::{mesh_throughput, parse_baseline, render_perf_json, PerfKnobs};
+///
+/// let knobs = PerfKnobs::new(50, 1, 4);
+/// let doc = render_perf_json(&knobs, &[mesh_throughput(50, 1)]);
+/// assert_eq!(parse_baseline(&doc, &knobs).unwrap().len(), 1);
+/// let err = parse_baseline(&doc, &PerfKnobs::new(50, 1, 8)).unwrap_err();
+/// assert!(err.contains("cores"), "{err}");
+/// ```
+pub fn parse_baseline(json: &str, knobs: &PerfKnobs) -> Result<Vec<TrajectoryRun>, String> {
+    let runs = parse_trajectory(json)?;
+    let rec = parse_knobs(json)?;
+    let mut diffs = Vec::new();
+    if rec.packets != knobs.packets {
+        diffs.push(format!("packets {} vs {}", rec.packets, knobs.packets));
+    }
+    if rec.repeats != knobs.repeats {
+        diffs.push(format!("repeats {} vs {}", rec.repeats, knobs.repeats));
+    }
+    if rec.cores != knobs.cores {
+        diffs.push(format!("cores {} vs {}", rec.cores, knobs.cores));
+    }
+    if rec.strategy != knobs.strategy {
+        diffs.push(format!("strategy {} vs {}", rec.strategy, knobs.strategy));
+    }
+    if diffs.is_empty() {
+        Ok(runs)
+    } else {
+        Err(format!(
+            "refusing to compare runs taken with different knobs (recorded vs this run: {}); \
+             re-run with the recorded knobs",
+            diffs.join(", ")
+        ))
+    }
 }
 
 /// Extracts a `"key": "value"` string field from a rendered document.
@@ -291,6 +409,7 @@ fn sample<P>(config: &'static str, net: &Network<P>, wall: Duration) -> PerfSamp
         dispatch_ns: phase.dispatch_ns,
         adaptive_serial_cycles: phase.adaptive_serial_cycles,
         adaptive_parallel_cycles: phase.adaptive_parallel_cycles,
+        router_visits: phase.router_visits,
     }
 }
 
@@ -641,12 +760,13 @@ pub fn sweep_throughput(points: &[SweepPoint], workers: usize, warm: bool) -> Sw
 
 /// Renders samples plus the baked-in baseline as the
 /// `nucanet/perf-v2` JSON document written to `BENCH_perf.json`:
-/// v1's throughput fields plus the cycle-kernel thread count, the
-/// host's core count, and the two-phase breakdown
-/// (parallel/serial cycles, compute/commit wall nanoseconds).
+/// v1's throughput fields plus the run's knobs, the cycle-kernel
+/// thread count, the host's core count, the router-visit work count,
+/// and the two-phase breakdown (parallel/serial cycles, compute/commit
+/// wall nanoseconds).
 #[must_use]
-pub fn render_perf_json(samples: &[PerfSample]) -> String {
-    render_perf_json_with_sweep(samples, &[])
+pub fn render_perf_json(knobs: &PerfKnobs, samples: &[PerfSample]) -> String {
+    render_perf_json_with_sweep(knobs, samples, &[])
 }
 
 /// Like [`render_perf_json`] but also emits a `"points_per_sec"`
@@ -657,7 +777,11 @@ pub fn render_perf_json(samples: &[PerfSample]) -> String {
 /// [`parse_trajectory`]'s run splitter is unaffected; an empty `sweep`
 /// slice renders the exact [`render_perf_json`] document.
 #[must_use]
-pub fn render_perf_json_with_sweep(samples: &[PerfSample], sweep: &[SweepPerfSample]) -> String {
+pub fn render_perf_json_with_sweep(
+    knobs: &PerfKnobs,
+    samples: &[PerfSample],
+    sweep: &[SweepPerfSample],
+) -> String {
     fn f(x: f64) -> String {
         if x.is_finite() {
             format!("{x:.1}")
@@ -673,6 +797,7 @@ pub fn render_perf_json_with_sweep(samples: &[PerfSample], sweep: &[SweepPerfSam
     out.push_str(&format!("  \"schema\": \"{PERF_SCHEMA}\",\n"));
     out.push_str("  \"name\": \"perf\",\n");
     out.push_str(&format!("  \"host_cores\": {host_cores},\n"));
+    out.push_str(&format!("  \"knobs\": {},\n", knobs.render()));
     out.push_str("  \"runs\": [\n");
     for (i, s) in samples.iter().enumerate() {
         let base = baseline_for(s.config);
@@ -683,6 +808,7 @@ pub fn render_perf_json_with_sweep(samples: &[PerfSample], sweep: &[SweepPerfSam
         out.push_str(&format!("      \"sim_cycles\": {},\n", s.cycles));
         out.push_str(&format!("      \"flit_hops\": {},\n", s.flit_hops));
         out.push_str(&format!("      \"packets\": {},\n", s.packets));
+        out.push_str(&format!("      \"router_visits\": {},\n", s.router_visits));
         out.push_str(&format!(
             "      \"parallel_cycles\": {},\n",
             s.parallel_cycles
@@ -842,7 +968,8 @@ mod tests {
     #[test]
     fn trajectory_roundtrips_through_the_renderer() {
         let samples = [mesh_throughput(50, 1), halo_throughput(50, 2)];
-        let runs = parse_trajectory(&render_perf_json(&samples)).expect("own output parses");
+        let runs = parse_trajectory(&render_perf_json(&PerfKnobs::new(50, 1, 4), &samples))
+            .expect("own output parses");
         assert_eq!(runs.len(), 2);
         assert_eq!(runs[0].config, "fig7-mesh");
         assert_eq!(runs[0].threads, 1);
@@ -884,7 +1011,11 @@ mod tests {
         assert!(warm.points_per_sec() > 0.0);
         let sweep = [fresh, warm];
         assert!(warm_speedup(&sweep).is_some());
-        let json = render_perf_json_with_sweep(&[mesh_throughput(50, 1)], &sweep);
+        let json = render_perf_json_with_sweep(
+            &PerfKnobs::new(50, 1, 4),
+            &[mesh_throughput(50, 1)],
+            &sweep,
+        );
         assert!(json.contains("\"points_per_sec\": ["), "{json}");
         assert!(json.contains("\"mode\": \"warm\""), "{json}");
         assert!(json.contains("\"warm_speedup\":"), "{json}");
@@ -911,12 +1042,15 @@ mod tests {
 
     #[test]
     fn json_names_all_configs() {
-        let json = render_perf_json(&[
-            mesh_throughput(50, 1),
-            halo_throughput(50, 1),
-            mesh_sat_throughput(50, 1),
-            halo_sat_throughput(50, 1),
-        ]);
+        let json = render_perf_json(
+            &PerfKnobs::new(50, 1, 4),
+            &[
+                mesh_throughput(50, 1),
+                halo_throughput(50, 1),
+                mesh_sat_throughput(50, 1),
+                halo_sat_throughput(50, 1),
+            ],
+        );
         assert!(json.contains("\"fig7-mesh\""));
         assert!(json.contains("\"halo\""));
         assert!(json.contains("\"mesh-sat\""));
@@ -928,6 +1062,65 @@ mod tests {
         assert!(json.contains("\"dispatch_ns\":"));
         assert!(json.contains("\"adaptive_serial_cycles\":"));
         assert!(json.contains("\"adaptive_parallel_cycles\":"));
+        assert!(json.contains("\"router_visits\":"));
         assert_eq!(json.matches('{').count(), json.matches('}').count());
+    }
+
+    #[test]
+    fn knobs_roundtrip_and_gate_the_baseline() {
+        let knobs = PerfKnobs::new(50, 3, 8);
+        let json = render_perf_json(&knobs, &[mesh_throughput(50, 1)]);
+        assert_eq!(parse_knobs(&json), Ok(knobs));
+        assert_eq!(parse_baseline(&json, &knobs).expect("same knobs").len(), 1);
+        for (other, name) in [
+            (PerfKnobs::new(60, 3, 8), "packets"),
+            (PerfKnobs::new(50, 1, 8), "repeats"),
+            (PerfKnobs::new(50, 3, 4), "cores"),
+            (
+                PerfKnobs {
+                    strategy: MulticastStrategy::Path,
+                    ..knobs
+                },
+                "strategy",
+            ),
+        ] {
+            let err = parse_baseline(&json, &other).unwrap_err();
+            assert!(
+                err.contains(name) && err.contains("different knobs"),
+                "{err}"
+            );
+        }
+        // A document written before knobs were recorded proves nothing
+        // about how it was measured: refused, not guessed.
+        let legacy = json.replace(&format!("  \"knobs\": {},\n", knobs.render()), "");
+        assert!(!legacy.contains("knobs"));
+        let err = parse_baseline(&legacy, &knobs).unwrap_err();
+        assert!(
+            err.contains("no run knobs") && err.contains("re-record"),
+            "{err}"
+        );
+    }
+
+    /// Router visits the kernel took on `halo_throughput(1000, _)` while
+    /// a returning credit still woke its upstream router whether or not
+    /// that router held a flit. The halo's burst-and-drain traffic
+    /// returns a credit for every flit hop, most of them to routers the
+    /// worm has already left.
+    const HALO_1000_VISITS_WITH_CREDIT_WAKEUPS: u64 = 61_444;
+
+    #[test]
+    fn router_visits_are_thread_invariant_and_skip_credit_wakeups() {
+        let serial = halo_throughput(1000, 1);
+        let threaded = halo_throughput(1000, 4);
+        assert_eq!(serial.cycles, threaded.cycles);
+        assert_eq!(
+            serial.router_visits, threaded.router_visits,
+            "both kernels count the same worklist entries"
+        );
+        assert!(
+            serial.router_visits < HALO_1000_VISITS_WITH_CREDIT_WAKEUPS,
+            "{} visits: empty routers are being woken by credits again",
+            serial.router_visits
+        );
     }
 }

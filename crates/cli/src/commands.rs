@@ -9,9 +9,9 @@ use nucanet::scheme::ALL_SCHEMES;
 use nucanet::sweep::{capacity_points, render_json_results, write_atomically, SweepRunner};
 use nucanet::{CacheSystem, FaultConfig, Scheme};
 use nucanet_bench::perf::{
-    baseline_for, giant_sat_throughput, halo_sat_throughput, halo_throughput,
-    mesh_sat_throughput, mesh_throughput, parse_trajectory, render_perf_json_with_sweep,
-    screening_points, sweep_throughput, warm_speedup, SweepPerfSample,
+    baseline_for, giant_sat_throughput, halo_sat_throughput, halo_throughput, mesh_sat_throughput,
+    mesh_throughput, parse_baseline, render_perf_json_with_sweep, screening_points,
+    sweep_throughput, warm_speedup, PerfKnobs, SweepPerfSample,
 };
 use nucanet_noc::{
     run_fuzz, FuzzOptions, LinkCensus, MulticastStrategy, NodeId, RoutingSpec, Topology,
@@ -87,9 +87,11 @@ pub fn help_text() -> String {
      \x20                      results are bit-identical for any value)\n\
      \x20 --json PATH          sweep/perf: also write machine-readable JSON\n\
      \x20 --baseline PATH      perf only: compare against a recorded BENCH_perf*.json\n\
+     \x20                      (files from a different perf schema, or taken with\n\
+     \x20                      other --packets/--repeats/--cores/--strategy, are\n\
+     \x20                      refused)\n\
      \x20 --sweep-points N     perf only: also time an N-point screening sweep\n\
      \x20                      fresh vs warm (arena reuse), reporting points/sec\n\
-     \x20                      (files from a different perf schema are refused)\n\
      \x20 --faults N           sweep only: inject N random link faults per point\n\
      \x20 --fault-repair C     sweep only: repair each injected fault after C cycles\n\
      \x20 --check 1            run/sweep: enable the runtime invariant checker\n\
@@ -471,6 +473,7 @@ fn cmd_perf(args: &Args) -> Result<String, ParseError> {
     if let Some(s) = args.strategy()? {
         std::env::set_var("NUCANET_STRATEGY", s.name());
     }
+    let knobs = PerfKnobs::new(packets, repeats as u64, cores);
     let best = |run: &dyn Fn() -> nucanet_bench::perf::PerfSample| {
         (0..repeats)
             .map(|_| run())
@@ -489,11 +492,12 @@ fn cmd_perf(args: &Args) -> Result<String, ParseError> {
     );
     for s in &samples {
         out.push_str(&format!(
-            "{:10} {:>12.0} cycles/s {:>12.0} flit-hops/s ({} cycles, {} ms, {} thr)",
+            "{:10} {:>12.0} cycles/s {:>12.0} flit-hops/s ({} cycles, {} router visits, {} ms, {} thr)",
             s.config,
             s.cycles_per_sec(),
             s.flit_hops_per_sec(),
             s.cycles,
+            s.router_visits,
             s.wall.as_millis(),
             s.threads
         ));
@@ -541,19 +545,20 @@ fn cmd_perf(args: &Args) -> Result<String, ParseError> {
     }
     if let Some(path) = args.get("baseline") {
         // Compare against a previously recorded BENCH_perf*.json. The
-        // parse refuses cross-schema files (perf-v1 vs perf-v2) with a
-        // clear message rather than comparing numbers that were
-        // measured by different harness loops.
+        // parse refuses cross-schema files (perf-v1 vs perf-v2) and
+        // files taken with other knobs (packets, repeats, cores,
+        // strategy) with a clear message rather than comparing numbers
+        // that do not measure the same thing.
         let text =
             std::fs::read_to_string(path).map_err(|e| ParseError::BadValue {
                 key: "baseline".into(),
                 value: format!("{path}: {e}"),
                 expected: "a readable BENCH_perf JSON file",
             })?;
-        let runs = parse_trajectory(&text).map_err(|e| ParseError::BadValue {
+        let runs = parse_baseline(&text, &knobs).map_err(|e| ParseError::BadValue {
             key: "baseline".into(),
             value: format!("{path}: {e}"),
-            expected: "a nucanet/perf-v2 BENCH_perf document",
+            expected: "a nucanet/perf-v2 BENCH_perf document taken with this run's knobs",
         })?;
         out.push_str(&format!("vs {path}:\n"));
         for s in &samples {
@@ -572,7 +577,7 @@ fn cmd_perf(args: &Args) -> Result<String, ParseError> {
     if let Some(path) = args.get("json") {
         write_atomically(
             std::path::Path::new(path),
-            &render_perf_json_with_sweep(&samples, &sweep_samples),
+            &render_perf_json_with_sweep(&knobs, &samples, &sweep_samples),
         )
         .map_err(
             |e| ParseError::BadValue {
@@ -833,6 +838,14 @@ mod tests {
         assert!(json.contains("\"compute_ns\":"), "{json}");
         assert!(json.contains("\"dispatch_ns\":"), "{json}");
         assert!(json.contains("\"adaptive_serial_cycles\":"), "{json}");
+        assert!(json.contains("\"router_visits\":"), "{json}");
+        assert!(
+            json.contains(
+                "\"knobs\": {\"packets\": 300, \"repeats\": 1, \"cores\": 1, \"strategy\": \""
+            ),
+            "{json}"
+        );
+        assert!(out.contains("router visits"), "{out}");
         std::fs::remove_file(&path).ok();
     }
 
@@ -855,6 +868,17 @@ mod tests {
         assert!(out.contains(&format!("vs {}", path.display())), "{out}");
         assert!(out.contains("x (recorded"), "{out}");
         assert!(!out.contains("not in baseline file"), "{out}");
+        // The same file is refused as the baseline of a run taken with
+        // other knobs.
+        let args = Args::parse(
+            format!("perf --packets 100 --baseline {}", path.display())
+                .split_whitespace()
+                .map(String::from),
+        )
+        .unwrap();
+        let err = run_command(&args).unwrap_err().to_string();
+        assert!(err.contains("different knobs"), "{err}");
+        assert!(err.contains("packets 200 vs 100"), "{err}");
         std::fs::remove_file(&path).ok();
     }
 

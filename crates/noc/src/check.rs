@@ -104,6 +104,18 @@ pub enum InvariantKind {
         /// What the event wheel actually holds.
         recounted: u32,
     },
+    /// A dense occupancy mirror (`occ`, `port_occ` or `buffered`)
+    /// disagrees with a recount of the VC FIFOs it mirrors.
+    MirrorDrift {
+        /// Which mirror drifted.
+        mirror: &'static str,
+        /// The drifted entry (VC slot, port slot or router index).
+        index: u32,
+        /// What the mirror says.
+        tracked: u32,
+        /// What the FIFOs actually hold.
+        recounted: u32,
+    },
     /// A flit ejected out of wormhole order at a destination.
     FlitOrder {
         /// The packet involved.
@@ -208,6 +220,16 @@ impl fmt::Display for InvariantKind {
                 f,
                 "inflight drift on {link:?} vc {vc}: kernel tracks {tracked}, \
                  wheel holds {recounted}"
+            ),
+            InvariantKind::MirrorDrift {
+                mirror,
+                index,
+                tracked,
+                recounted,
+            } => write!(
+                f,
+                "occupancy mirror drift: {mirror}[{index}] tracks {tracked}, \
+                 buffers hold {recounted}"
             ),
             InvariantKind::FlitOrder {
                 packet,
@@ -528,6 +550,23 @@ impl InvariantChecker {
                 vc_depth,
             });
         }
+    }
+
+    /// Records a dense occupancy mirror entry that disagrees with its
+    /// recount from the VC FIFOs.
+    pub(crate) fn mirror_drift(
+        &mut self,
+        mirror: &'static str,
+        index: usize,
+        tracked: u32,
+        recounted: u32,
+    ) {
+        self.record(InvariantKind::MirrorDrift {
+            mirror,
+            index: index as u32,
+            tracked,
+            recounted,
+        });
     }
 
     /// Audits global flit conservation; `on_wire` comes from the wheel

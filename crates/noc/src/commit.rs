@@ -20,10 +20,12 @@
 //! kernel would have produced, which is what keeps the sharded commit
 //! bit-identical for every thread count.
 //!
-//! The same `apply_*` functions also serve the serial fallback (one
-//! mailbox, merged after each router), so there is a single
-//! implementation of "apply a winner" for the serial kernel, the serial
-//! commit, and the sharded commit to drift apart from.
+//! The same [`apply_winner`] body also serves the serial kernel's
+//! router turn and the serial commit of a short run, which pass an
+//! effect sink that applies each effect on the spot instead of queueing
+//! it (see [`apply_winner`] for why the order is the same), so there is
+//! a single implementation of "apply a winner" for the serial kernel,
+//! the serial commit, and the sharded commit to drift apart from.
 
 use std::collections::VecDeque;
 
@@ -117,6 +119,7 @@ pub(crate) struct SlabPtrs<P> {
     vcs: usize,
     buf: *mut FlitQueue<P>,
     occ: *mut u32,
+    port_occ: *mut u32,
     buffered: *mut u32,
     route: *mut Option<OutRoute>,
     split: *mut Option<Split>,
@@ -137,6 +140,7 @@ impl<P> SlabPtrs<P> {
             vcs: s.vcs,
             buf: s.buf.as_mut_ptr(),
             occ: s.occ.as_mut_ptr(),
+            port_occ: s.port_occ.as_mut_ptr(),
             buffered: s.buffered.as_mut_ptr(),
             route: s.route.as_mut_ptr(),
             split: s.split.as_mut_ptr(),
@@ -172,9 +176,9 @@ impl<P> SlabPtrs<P> {
 
 /// Applies one committed intent: exactly the own-router slab writes, in
 /// the same order, that the serial kernel would have performed at this
-/// worklist turn, with every global write recorded into `mb` for the
-/// ordered merge. Mirrors the serial route-install + switch-traversal
-/// sequence, decision for decision.
+/// worklist turn, with every global write handed to `sink` in serial
+/// order (see [`apply_winner`]). Mirrors the serial route-install +
+/// switch-traversal sequence, decision for decision.
 ///
 /// # Safety
 ///
@@ -189,8 +193,7 @@ pub(crate) unsafe fn apply_intent<P>(
     cycle: u64,
     idx: u32,
     intent: &RouterIntent,
-    pos: u32,
-    mb: &mut Mailbox<P>,
+    sink: &mut impl FnMut(Effect<P>),
 ) {
     let node = NodeId(idx);
     let ri = idx as usize;
@@ -209,16 +212,23 @@ pub(crate) unsafe fn apply_intent<P>(
             *s.out_rr.add(s.port_slot(ri, o as usize)) = rr;
         }
         for &(p, v) in &intent.winners {
-            apply_winner(s, topo, params, cycle, node, p as usize, v as usize, pos, mb);
+            apply_winner(s, topo, params, cycle, node, p as usize, v as usize, sink);
         }
     }
 }
 
 /// Moves one switch-allocation winner's flit out of input VC `(p, v)`
-/// of `node`: the slab half of the serial kernel's traversal. Global
-/// consequences (link departure, credit return, ejection, replica copy
-/// accounting, reservation release) go into `mb` instead of being
-/// applied, preserving their exact serial order for the merge.
+/// of `node`: the slab half of the traversal. Global consequences (link
+/// departure, credit return, ejection, replica copy accounting,
+/// reservation release) are handed to `sink` in their serial order.
+///
+/// The sharded commit's sink queues them in a worker [`Mailbox`] for
+/// the ordered merge. The serial kernel's sink applies each one on the
+/// spot. Both give the same result because the two sides share no
+/// state: applying an effect writes only global state (event wheel,
+/// statistics, checker, delivered queue, the `reserved` bitmap) and
+/// never reads the slabs, while this function reads and writes only
+/// the slabs, the topology and the parameters.
 ///
 /// # Safety
 ///
@@ -233,8 +243,7 @@ pub(crate) unsafe fn apply_winner<P>(
     node: NodeId,
     p: usize,
     v: usize,
-    pos: u32,
-    mb: &mut Mailbox<P>,
+    sink: &mut impl FnMut(Effect<P>),
 ) {
     let ri = node.0 as usize;
     // SAFETY: every slot below belongs to router `ri` (the replica VC
@@ -249,7 +258,9 @@ pub(crate) unsafe fn apply_winner<P>(
             .pop_front()
             .expect("winner must have a flit");
         *s.occ.add(slot) -= 1;
+        *s.port_occ.add(ps) -= 1;
         *s.buffered.add(ri) -= 1;
+        debug_assert!(*s.port_occ.add(ps) >= *s.occ.add(slot));
         let is_tail = flit.is_tail();
         let via_link = !*s.is_local.add(ps) && !*s.replica_role.add(slot);
 
@@ -268,8 +279,11 @@ pub(crate) unsafe fn apply_winner<P>(
             }
             (*s.buf.add(rslot)).push_back(copy);
             *s.occ.add(rslot) += 1;
+            *s.port_occ.add(s.port_slot(ri, sp.port as usize)) += 1;
             *s.buffered.add(ri) += 1;
-            mb.push_back((pos, Effect::ReplicaCopy { packet: flit.pkt.id }));
+            sink(Effect::ReplicaCopy {
+                packet: flit.pkt.id,
+            });
         }
 
         let mut out = flit;
@@ -282,7 +296,7 @@ pub(crate) unsafe fn apply_winner<P>(
         }
 
         if route.eject {
-            mb.push_back((pos, Effect::Eject { flit: out }));
+            sink(Effect::Eject { flit: out });
         } else {
             // Passing delivery: the worm's current target lives on
             // this router but further endpoints remain — peel a copy
@@ -297,8 +311,8 @@ pub(crate) unsafe fn apply_winner<P>(
                 && out.target().node == node
                 && out.has_more_targets()
             {
-                mb.push_back((pos, Effect::ReplicaCopy { packet: out.pkt.id }));
-                mb.push_back((pos, Effect::Eject { flit: out.clone() }));
+                sink(Effect::ReplicaCopy { packet: out.pkt.id });
+                sink(Effect::Eject { flit: out.clone() });
                 out.dest_idx += 1;
             }
             let link = topo.router(node).ports[route.port as usize]
@@ -310,28 +324,22 @@ pub(crate) unsafe fn apply_winner<P>(
             *credits -= 1;
             let delay = topo.link(link).delay + (params.router_stages - 1);
             let when = cycle + u64::from(delay.max(1));
-            mb.push_back((
-                pos,
-                Effect::Arrive {
-                    when,
-                    link,
-                    vc: route.vc,
-                    flit: out,
-                },
-            ));
+            sink(Effect::Arrive {
+                when,
+                link,
+                vc: route.vc,
+                flit: out,
+            });
         }
 
         // Credit return for flits that arrived over our input link.
         if via_link {
             if let Some(in_link) = topo.router(node).ports[p].in_link {
-                mb.push_back((
-                    pos,
-                    Effect::Credit {
-                        when: cycle + u64::from(params.credit_delay),
-                        link: in_link,
-                        vc: v as u8,
-                    },
-                ));
+                sink(Effect::Credit {
+                    when: cycle + u64::from(params.credit_delay),
+                    link: in_link,
+                    vc: v as u8,
+                });
             }
         }
 
@@ -345,18 +353,18 @@ pub(crate) unsafe fn apply_winner<P>(
             *s.split.add(slot) = None;
             if was_replica {
                 *s.replica_role.add(slot) = false;
-                mb.push_back((
-                    pos,
-                    Effect::Release {
-                        node,
-                        port: p as u8,
-                        vc: v as u8,
-                    },
-                ));
+                sink(Effect::Release {
+                    node,
+                    port: p as u8,
+                    vc: v as u8,
+                });
             }
         }
 
-        *s.rr_in.add(ps) = (v as u8 + 1) % s.vcs.max(1) as u8;
+        // Round-robin advance without a division: `v < vcs`, so one
+        // conditional wrap is exact.
+        let next = v + 1;
+        *s.rr_in.add(ps) = if next == s.vcs { 0 } else { next as u8 };
     }
 }
 
@@ -405,8 +413,7 @@ pub(crate) unsafe fn commit_shim<P>(data: *const (), worker: usize) {
                 job.cycle,
                 idx,
                 intent,
-                pos as u32,
-                mb,
+                &mut |e| mb.push_back((pos as u32, e)),
             );
         }
         pos += job.stride;

@@ -116,6 +116,11 @@ pub struct PhaseStats {
     /// Cycles the adaptive gate decided to shard (including
     /// calibration probes). Zero when `sim_threads == 1`.
     pub adaptive_parallel_cycles: u64,
+    /// Router turns taken: the summed length of every cycle's worklist.
+    /// Unlike the fields above this is a deterministic work count — it
+    /// depends only on the simulated traffic, never on the host or the
+    /// kernel, and is equal for every `sim_threads` value.
+    pub router_visits: u64,
 }
 
 /// Online serial-vs-parallel calibration for the cycle kernel.
@@ -431,9 +436,6 @@ pub struct Network<P> {
     res_dirty_list: Vec<u32>,
     /// Widest router (ports), for sizing per-worker scratch.
     max_ports: usize,
-    /// Effect mailbox for live router processing and the serial commit
-    /// fallback (reused each cycle, so it stops allocating once warm).
-    live_mb: Mailbox<P>,
     /// Per-worker effect mailboxes for the sharded commit (sized with
     /// the pool).
     commit_mb: Vec<Mailbox<P>>,
@@ -518,12 +520,6 @@ impl<P> Network<P> {
             // (link, VC) slot) so the commit pre-scan never allocates.
             res_dirty_list: Vec::with_capacity(n_links * params.vcs_per_port as usize),
             max_ports,
-            // A winner produces at most 4 effects (replica copy,
-            // ejection or link departure, credit return, reservation
-            // release), and one router commits at most one winner per
-            // port — the mailbox bound for live/serial-commit use,
-            // where effects drain after every position.
-            live_mb: VecDeque::with_capacity(max_ports * 4),
             commit_mb: Vec::new(),
             phase: PhaseStats::default(),
             gate: AdaptiveGate::default(),
@@ -579,7 +575,6 @@ impl<P> Network<P> {
         self.deferred.fill(false);
         self.res_dirty.fill(false);
         self.res_dirty_list.clear();
-        self.live_mb.clear();
         for mb in &mut self.commit_mb {
             mb.clear();
         }
@@ -850,6 +845,8 @@ impl<P> Network<P> {
         // however many flits it carries.
         self.slabs.buf[base + vc_idx].push_run(pkt, 0, flits, dest_hi);
         self.slabs.occ[base + vc_idx] += flits;
+        let ps = self.slabs.port_slot(src.node.0 as usize, sp.0 as usize);
+        self.slabs.port_occ[ps] += flits;
         self.slabs.buffered[src.node.0 as usize] += flits;
         self.mark_pending(src.node);
         self.log(NetEvent::Inject {
@@ -972,6 +969,11 @@ impl<P> Network<P> {
         for &i in &work {
             self.pending_flag[i as usize] = false;
         }
+        self.phase.router_visits += work.len() as u64;
+        // The router turn applies global effects while `self` is
+        // mutably borrowed, so it reads the topology through its own
+        // handle (one reference-count bump per cycle).
+        let topo = Arc::clone(&self.topo);
         // Reset last cycle's commit-time reservation dirty set.
         for &s in &self.res_dirty_list {
             self.res_dirty[s as usize] = false;
@@ -990,7 +992,7 @@ impl<P> Network<P> {
             // a host that can't actually run the workers concurrently
             // calibrates itself back to serial.
             let t0 = Instant::now();
-            self.step_two_phase(&work);
+            self.step_two_phase(&work, &topo);
             let total = self.pool.as_ref().expect("pool created").dispatch_ns();
             self.phase.dispatch_ns +=
                 self.gate
@@ -1010,7 +1012,7 @@ impl<P> Network<P> {
             // restored.
             let mut slabs = std::mem::take(&mut self.slabs);
             for &i in &work {
-                self.process_router(i, &mut slabs);
+                self.process_router(i, &mut slabs, &topo);
             }
             self.slabs = slabs;
             if let Some(t0) = t0 {
@@ -1066,6 +1068,7 @@ impl<P> Network<P> {
                     );
                     self.slabs.buf[slot].push_back(flit);
                     self.slabs.occ[slot] += 1;
+                    self.slabs.port_occ[ps] += 1;
                     self.slabs.buffered[l.dst.0 as usize] += 1;
                     let occ = self.slabs.occ[slot] as u8;
                     if occ > self.stats.peak_vc_occupancy {
@@ -1083,7 +1086,14 @@ impl<P> Network<P> {
                         self.slabs.out_credits[oslot] <= self.params.vc_depth,
                         "credit overflow on {link:?} vc {vc}"
                     );
-                    self.mark_pending(l.src);
+                    // A credit can only unblock buffered flits: the turn
+                    // of a router holding none is a pure no-op, so an
+                    // empty router stays asleep. When only credits are in
+                    // flight the network is idle and `advance` skips
+                    // straight to them.
+                    if self.slabs.buffered[l.src.0 as usize] > 0 {
+                        self.mark_pending(l.src);
+                    }
                 }
             }
         }
@@ -1113,12 +1123,17 @@ impl<P> Network<P> {
     ///
     /// `slabs` is the full SoA state, split-borrowed out of `self` by
     /// [`Network::step`] (or the commit loop) for the duration of the
-    /// router loop. All per-cycle temporaries live in `self.scratch`
-    /// and `self.live_mb` (cleared, never reallocated), so steady-state
-    /// processing is allocation-free.
-    fn process_router(&mut self, idx: u32, slabs: &mut NetSlabs<P>) {
+    /// router loop, and `topo` is the caller's handle on `self.topo`.
+    /// All per-cycle temporaries live in `self.scratch` (cleared, never
+    /// reallocated), so steady-state processing is allocation-free.
+    ///
+    /// Only routers holding flits take a turn (a credit does not wake
+    /// an empty router), and ports holding none are skipped by both the
+    /// route scan and nomination, so a turn costs O(occupied ports).
+    fn process_router(&mut self, idx: u32, slabs: &mut NetSlabs<P>, topo: &Topology) {
         let node = NodeId(idx);
         let ri = idx as usize;
+        debug_assert!(slabs.buffered[ri] > 0, "router {ri} woken without flits");
 
         self.allocate_routes(node, slabs);
 
@@ -1126,16 +1141,27 @@ impl<P> Network<P> {
         // land in a dense `(port, vc, output)` list (ascending port
         // order) so phase B touches only nominating ports instead of
         // rescanning every (output, input) pair against the route slab.
+        // The VC walk wraps with a compare, not a division.
         let n_ports = slabs.n_ports(ri);
         let n_vcs = slabs.vcs as u8;
         debug_assert!(self.scratch.nominated.is_empty());
         for p in 0..n_ports {
-            let start = slabs.rr_in[slabs.port_slot(ri, p)];
-            for k in 0..n_vcs {
-                let v = (start + k) % n_vcs;
+            let ps = slabs.port_slot(ri, p);
+            if slabs.port_occ[ps] == 0 {
+                debug_assert!(slabs.occ[ps * slabs.vcs..(ps + 1) * slabs.vcs]
+                    .iter()
+                    .all(|&n| n == 0));
+                continue;
+            }
+            let mut v = slabs.rr_in[ps];
+            for _ in 0..n_vcs {
                 if let Some(rt) = self.vc_sendable(slabs, ri, p, v as usize) {
                     self.scratch.nominated.push((p as u8, v, rt.port));
                     break;
+                }
+                v += 1;
+                if v == n_vcs {
+                    v = 0;
                 }
             }
         }
@@ -1165,7 +1191,12 @@ impl<P> Network<P> {
                 .copied()
                 .find(|&p| p >= start)
                 .unwrap_or(self.scratch.requesting[0]);
-            slabs.out_rr[ps_o] = pick.wrapping_add(1) % n_ports.max(1) as u8;
+            let next = pick + 1;
+            slabs.out_rr[ps_o] = if usize::from(next) == n_ports {
+                0
+            } else {
+                next
+            };
             if self.scratch.requesting.len() > 1 {
                 pick_v = self
                     .scratch
@@ -1187,40 +1218,34 @@ impl<P> Network<P> {
         self.scratch.nominated.clear();
 
         // Traversal: apply each winner through the shared commit-path
-        // implementation, collecting global effects into the (reused)
-        // live mailbox, then drain it immediately — effect order within
-        // one router is exactly the serial order. The winners buffer
-        // moves out and back so `self` stays borrowable; a Vec move
-        // allocates nothing.
+        // implementation, with a sink that applies every global effect
+        // on the spot — no mailbox round trip (see `apply_winner` for
+        // why the order matches the sharded commit's merge). The
+        // winners buffer moves out and back so `self` stays borrowable;
+        // a Vec move allocates nothing.
         let winners = std::mem::take(&mut self.scratch.winners);
-        let mut mb = std::mem::take(&mut self.live_mb);
-        debug_assert!(mb.is_empty());
-        {
-            let view = SlabPtrs::new(slabs);
-            for &(p, v) in &winners {
-                // SAFETY: `slabs` is exclusively borrowed here and the
-                // view is used single-threaded, so the "caller owns the
-                // router" contract holds trivially.
-                unsafe {
-                    apply_winner(
-                        &view,
-                        &self.topo,
-                        &self.params,
-                        self.cycle,
-                        node,
-                        p as usize,
-                        v as usize,
-                        0,
-                        &mut mb,
-                    );
-                }
-                self.last_progress = self.cycle;
+        let (params, cycle) = (self.params, self.cycle);
+        let view = SlabPtrs::new(slabs);
+        for &(p, v) in &winners {
+            // SAFETY: `slabs` is exclusively borrowed here and the view
+            // is used single-threaded, so the "caller owns the router"
+            // contract holds trivially.
+            unsafe {
+                apply_winner(
+                    &view,
+                    topo,
+                    &params,
+                    cycle,
+                    node,
+                    p as usize,
+                    v as usize,
+                    &mut |e| self.apply_effect(e),
+                );
             }
         }
-        while let Some((_, eff)) = mb.pop_front() {
-            self.apply_effect(eff);
+        if !winners.is_empty() {
+            self.last_progress = cycle;
         }
-        self.live_mb = mb;
         self.scratch.winners = winners;
         self.scratch.winners.clear();
 
@@ -1263,7 +1288,7 @@ impl<P> Network<P> {
     /// round-robin pointers, switch winners — derives from the router's
     /// *own* state, which only its own turn mutates, and the commit
     /// replays those mutations in the serial order.
-    fn step_two_phase(&mut self, work: &[u32]) {
+    fn step_two_phase(&mut self, work: &[u32], topo: &Topology) {
         self.phase.parallel_cycles += 1;
         if self.pool.is_none() {
             let pool = SimPool::new(self.sim_threads);
@@ -1354,12 +1379,12 @@ impl<P> Network<P> {
                 pos += 1;
             }
             if pos > lo {
-                self.commit_run(&work[lo..pos], &intents, &mut slabs);
+                self.commit_run(&work[lo..pos], &intents, &mut slabs, topo);
             }
             if pos < work.len() {
                 // Barrier: live serial processing — exact by
                 // construction, with every earlier effect applied.
-                self.process_router(work[pos], &mut slabs);
+                self.process_router(work[pos], &mut slabs, topo);
                 pos += 1;
             }
         }
@@ -1369,10 +1394,17 @@ impl<P> Network<P> {
     }
 
     /// Commits one run of valid intents: sharded across the pool when
-    /// the run is large enough, serial otherwise, followed by the
-    /// in-order mailbox merge. Either way the global write sequence is
-    /// the serial kernel's.
-    fn commit_run(&mut self, run: &[u32], intents: &[RouterIntent], slabs: &mut NetSlabs<P>) {
+    /// the run is large enough (followed by the in-order mailbox
+    /// merge), serial otherwise (effects applied on the spot, as in the
+    /// serial router turn). Either way the global write sequence is the
+    /// serial kernel's.
+    fn commit_run(
+        &mut self,
+        run: &[u32],
+        intents: &[RouterIntent],
+        slabs: &mut NetSlabs<P>,
+        topo: &Topology,
+    ) {
         let threads = self.sim_threads;
         if run.len() >= self.gate.run_threshold() && threads > 1 {
             {
@@ -1404,57 +1436,46 @@ impl<P> Network<P> {
             for (off, &idx) in run.iter().enumerate() {
                 let w = off % threads;
                 let mut mb = std::mem::take(&mut self.commit_mb[w]);
-                self.merge_position(idx, &intents[idx as usize], &mut mb, off as u32, slabs);
+                while mb.front().is_some_and(|&(t, _)| t == off as u32) {
+                    let (_, eff) = mb.pop_front().expect("checked front");
+                    self.apply_effect(eff);
+                }
                 self.commit_mb[w] = mb;
+                self.finish_commit(idx, &intents[idx as usize], slabs);
             }
         } else {
-            let mut mb = std::mem::take(&mut self.live_mb);
-            debug_assert!(mb.is_empty());
+            let (params, cycle) = (self.params, self.cycle);
             for &idx in run {
-                {
-                    let view = SlabPtrs::new(slabs);
-                    // SAFETY: single-threaded use of the view under an
-                    // exclusive borrow of `slabs`.
-                    unsafe {
-                        apply_intent(
-                            &view,
-                            &self.topo,
-                            &self.params,
-                            self.cycle,
-                            idx,
-                            &intents[idx as usize],
-                            0,
-                            &mut mb,
-                        );
-                    }
+                let view = SlabPtrs::new(slabs);
+                // SAFETY: single-threaded use of the view under an
+                // exclusive borrow of `slabs`.
+                unsafe {
+                    apply_intent(
+                        &view,
+                        topo,
+                        &params,
+                        cycle,
+                        idx,
+                        &intents[idx as usize],
+                        &mut |e| self.apply_effect(e),
+                    );
                 }
-                self.merge_position(idx, &intents[idx as usize], &mut mb, 0, slabs);
+                self.finish_commit(idx, &intents[idx as usize], slabs);
             }
-            self.live_mb = mb;
         }
     }
 
-    /// Merges one committed router's global consequences, in the exact
-    /// serial order: stats preamble (blocked-route cycles, reroute
-    /// counts), this position's effects from `mb`, then the progress /
-    /// re-scheduling postamble.
-    fn merge_position(
-        &mut self,
-        idx: u32,
-        intent: &RouterIntent,
-        mb: &mut Mailbox<P>,
-        pos: u32,
-        slabs: &NetSlabs<P>,
-    ) {
+    /// Books one committed router's own consequences once its effects
+    /// are applied: the intent's blocked-route and reroute counts,
+    /// forward progress, and re-scheduling. The serial kernel bumps the
+    /// two counters before its effects; no effect reads them, so the
+    /// totals are the same.
+    fn finish_commit(&mut self, idx: u32, intent: &RouterIntent, slabs: &NetSlabs<P>) {
         self.stats.route_blocked_cycles += u64::from(intent.route_blocked);
         for rt in &intent.routes {
             if rt.rerouted {
                 self.stats.packets_rerouted += 1;
             }
-        }
-        while mb.front().is_some_and(|&(t, _)| t == pos) {
-            let (_, eff) = mb.pop_front().expect("checked front");
-            self.apply_effect(eff);
         }
         if !intent.winners.is_empty() {
             self.last_progress = self.cycle;
@@ -1565,6 +1586,9 @@ impl<P> Network<P> {
     fn allocate_routes_hybrid(&mut self, node: NodeId, slabs: &mut NetSlabs<P>) {
         let ri = node.0 as usize;
         for p in 0..slabs.n_ports(ri) {
+            if slabs.port_occ[slabs.port_slot(ri, p)] == 0 {
+                continue;
+            }
             for v in 0..slabs.vcs {
                 let slot = slabs.vc_slot(ri, p, v);
                 // Copy the head's routing facts out before any `&mut`
@@ -1684,6 +1708,9 @@ impl<P> Network<P> {
     fn allocate_routes_path(&mut self, node: NodeId, slabs: &mut NetSlabs<P>) {
         let ri = node.0 as usize;
         for p in 0..slabs.n_ports(ri) {
+            if slabs.port_occ[slabs.port_slot(ri, p)] == 0 {
+                continue;
+            }
             for v in 0..slabs.vcs {
                 let slot = slabs.vc_slot(ri, p, v);
                 let (target, next_target) = {
@@ -1771,6 +1798,9 @@ impl<P> Network<P> {
     fn allocate_routes_tree(&mut self, node: NodeId, slabs: &mut NetSlabs<P>) {
         let ri = node.0 as usize;
         for p in 0..slabs.n_ports(ri) {
+            if slabs.port_occ[slabs.port_slot(ri, p)] == 0 {
+                continue;
+            }
             for v in 0..slabs.vcs {
                 let slot = slabs.vc_slot(ri, p, v);
                 let (pkt, lo, hi) = {
@@ -2078,6 +2108,10 @@ impl<P> Network<P> {
                 );
             }
         }
+        self.slabs
+            .audit_mirrors(|mirror, index, tracked, recounted| {
+                c.mirror_drift(mirror, index, tracked, recounted);
+            });
         let buffered = self.slabs.buffered_flits_total();
         c.check_conservation(buffered, self.stats.flits_ejected);
         if self.pending.is_empty() && self.events.is_empty() {
@@ -2123,6 +2157,9 @@ impl<P> ComputeCtx<'_, P> {
 
         // Routing + VC allocation, as intents.
         for p in 0..s.n_ports(ri) {
+            if s.port_occ[s.port_slot(ri, p)] == 0 {
+                continue;
+            }
             for v in 0..s.vcs {
                 let slot = s.vc_slot(ri, p, v);
                 if s.occ[slot] == 0 || s.route[slot].is_some() {
@@ -2230,12 +2267,19 @@ impl<P> ComputeCtx<'_, P> {
         let n_vcs = s.vcs as u8;
         scratch.nominee[..n_ports].fill(None);
         for p in 0..n_ports {
-            let start = s.rr_in[s.port_slot(ri, p)];
-            for k in 0..n_vcs {
-                let v = (start + k) % n_vcs;
+            let ps = s.port_slot(ri, p);
+            if s.port_occ[ps] == 0 {
+                continue;
+            }
+            let mut v = s.rr_in[ps];
+            for _ in 0..n_vcs {
                 if self.vc_sendable(ri, p, v as usize, intent) {
                     scratch.nominee[p] = Some(v);
                     break;
+                }
+                v += 1;
+                if v == n_vcs {
+                    v = 0;
                 }
             }
         }
@@ -2264,9 +2308,15 @@ impl<P> ComputeCtx<'_, P> {
                 .copied()
                 .find(|&p| p >= start)
                 .unwrap_or(scratch.requesting[0]);
-            intent
-                .rr_out
-                .push((o as u8, pick.wrapping_add(1) % n_ports.max(1) as u8));
+            let next = pick + 1;
+            intent.rr_out.push((
+                o as u8,
+                if usize::from(next) == n_ports {
+                    0
+                } else {
+                    next
+                },
+            ));
             let v = scratch.nominee[pick as usize].expect("requesting port has nominee");
             intent.winners.push((pick, v));
             // Predict the replica-reservation release this winner will
@@ -2587,6 +2637,74 @@ mod tests {
         run_until_idle(&mut net, 500);
         let got = net.drain_delivered(dst.node);
         assert_eq!(got.len(), 2);
+    }
+
+    /// Once the tail has ejected, only credits are left on the wire and
+    /// every router they return to is drained. Those credits must not
+    /// wake anyone: `is_busy` stays false, `advance` fast-forwards
+    /// straight to each credit's cycle, and no router turn is taken.
+    /// The statistics are pinned to the values of the kernel that still
+    /// woke the upstream router on every credit — the wake rule changes
+    /// host work only, never the simulation.
+    #[test]
+    fn drained_routers_sleep_through_returning_credits() {
+        let topo = Topology::mesh(3, 3, &unit(2), &unit(2));
+        let table = RoutingSpec::Xy.build(&topo).unwrap();
+        // A long credit loop: the source runs out of credits mid-packet
+        // (so a credit does wake a router that still holds a flit), and
+        // the trailing credits land well after the delivery.
+        let params = RouterParams {
+            credit_delay: 12,
+            ..RouterParams::default()
+        };
+        let mut net: Network<u32> = Network::new(topo, table, params);
+        net.enable_invariant_checker();
+        let src = Endpoint::at(net.topology().node_at(0, 0));
+        let dst = Endpoint::at(net.topology().node_at(2, 2));
+        net.inject(Packet::new(src, Dest::unicast(dst), 5, 0u32));
+        while net.stats().packets_delivered == 0 {
+            net.advance().unwrap();
+        }
+        assert_eq!(net.cycle(), 18);
+        assert_eq!(net.slabs.buffered_flits_total(), 0);
+        let visits = net.phase_stats().router_visits;
+        let mut credit_cycles = Vec::new();
+        while let Some(due) = net.next_event_cycle() {
+            assert!(
+                !net.is_busy(),
+                "only credits in flight: the network is idle"
+            );
+            net.advance().unwrap();
+            assert_eq!(net.cycle(), due, "advance lands on the credit's cycle");
+            credit_cycles.push(due);
+        }
+        assert_eq!(credit_cycles, [19, 20, 27, 28, 29, 30]);
+        assert_eq!(
+            net.phase_stats().router_visits,
+            visits,
+            "a returning credit woke a drained router"
+        );
+        // The kernel that woke a router on every credit took 50 turns
+        // on this run, 7 of them after the delivery.
+        assert!(visits < 50, "{visits} router visits");
+        let mut want = NetStats::new(net.topology().link_count());
+        want.cycles = 30;
+        want.packets_injected = 1;
+        want.packets_delivered = 1;
+        want.flits_ejected = 5;
+        want.total_packet_latency = 18;
+        want.peak_vc_occupancy = 1;
+        for link in [0, 2, 16, 22] {
+            want.flits_per_link[link] = 5;
+        }
+        want.latency_buckets[1] = 1;
+        assert_eq!(net.stats(), &want);
+        let checker = net.take_invariant_checker().expect("enabled above");
+        assert!(
+            checker.violations().is_empty(),
+            "{:?}",
+            checker.violations()
+        );
     }
 
     #[test]

@@ -60,7 +60,8 @@ pub(crate) struct Split {
 /// exactly `vcs` virtual channels, so
 ///
 /// * **port slot** of `(r, p)` = `port_base[r] + p`, indexing the
-///   per-port arrays (`is_local`, `has_out`, `util`, `rr_in`, `out_rr`);
+///   per-port arrays (`port_occ`, `is_local`, `has_out`, `util`, `rr_in`,
+///   `out_rr`);
 /// * **VC slot** of `(r, p, v)` = `port_slot * vcs + v`, indexing the
 ///   per-VC arrays (`buf`, `route`, `split`, `replica_role` on the
 ///   input side; `out_owner`, `out_credits` on the output side).
@@ -102,6 +103,12 @@ pub(crate) struct NetSlabs<P> {
     /// Free downstream buffer slots we may still consume.
     pub out_credits: Vec<u8>,
     // ---- per port, indexed by port slot ----
+    /// Flit count of each input port — a dense mirror of the sum of
+    /// `occ` over the port's VCs. Route allocation and switch-allocation
+    /// nomination skip a port whose count is zero without touching its
+    /// VC slots, so a router turn costs O(occupied ports), not
+    /// O(ports × VCs). Updated at the same sites as `occ`.
+    pub port_occ: Vec<u32>,
     /// Local ports hold injection queues (unbounded source queues).
     pub is_local: Vec<bool>,
     /// Whether the port has an outgoing link (local ejection sinks have
@@ -119,7 +126,9 @@ pub(crate) struct NetSlabs<P> {
     pub out_rr: Vec<u8>,
     // ---- per router ----
     /// Total buffered flits per router (`sum of occ over vc_range`),
-    /// making the has-work re-schedule test O(1) instead of a scan.
+    /// making the has-work re-schedule test O(1) instead of a scan. It
+    /// also gates credit wake-ups: a returning credit schedules its
+    /// router only while this count is non-zero.
     pub buffered: Vec<u32>,
 }
 
@@ -137,6 +146,7 @@ impl<P> Default for NetSlabs<P> {
             replica_role: Vec::new(),
             out_owner: Vec::new(),
             out_credits: Vec::new(),
+            port_occ: Vec::new(),
             is_local: Vec::new(),
             has_out: Vec::new(),
             util: Vec::new(),
@@ -202,6 +212,7 @@ impl<P> NetSlabs<P> {
             replica_role: vec![false; n_slots],
             out_owner: vec![false; n_slots],
             out_credits,
+            port_occ: vec![0; n_ports],
             is_local,
             has_out,
             util: vec![0; n_ports],
@@ -223,6 +234,7 @@ impl<P> NetSlabs<P> {
             b.clear();
         }
         self.occ.fill(0);
+        self.port_occ.fill(0);
         self.buffered.fill(0);
         self.route.fill(None);
         self.split.fill(None);
@@ -289,6 +301,33 @@ impl<P> NetSlabs<P> {
     /// Total buffered flits across the network (diagnostics).
     pub fn buffered_flits_total(&self) -> u64 {
         self.buffered.iter().map(|&n| u64::from(n)).sum()
+    }
+
+    /// Recounts the dense occupancy mirrors — `occ` per VC, `port_occ`
+    /// per port, `buffered` per router — from the VC FIFOs, and calls
+    /// `drift(mirror, index, tracked, recounted)` for every entry that
+    /// disagrees. Invariant-checker audit only: O(VC slots).
+    pub fn audit_mirrors(&self, mut drift: impl FnMut(&'static str, usize, u32, u32)) {
+        for r in 0..self.n_routers() {
+            let mut router_total = 0u32;
+            for ps in self.port_base[r] as usize..self.port_base[r + 1] as usize {
+                let mut port_total = 0u32;
+                for slot in ps * self.vcs..(ps + 1) * self.vcs {
+                    let n = self.buf[slot].len() as u32;
+                    if self.occ[slot] != n {
+                        drift("occ", slot, self.occ[slot], n);
+                    }
+                    port_total += n;
+                }
+                if self.port_occ[ps] != port_total {
+                    drift("port_occ", ps, self.port_occ[ps], port_total);
+                }
+                router_total += port_total;
+            }
+            if self.buffered[r] != router_total {
+                drift("buffered", r, self.buffered[r], router_total);
+            }
+        }
     }
 
     /// Input VCs holding flits but no allocated route — heads waiting on
@@ -482,6 +521,28 @@ mod tests {
         });
         assert!(!s.vc_is_free(slot));
         assert_eq!(s.blocked_heads_total(), 0, "no flit buffered yet");
+    }
+
+    #[test]
+    fn mirror_audit_recounts_every_mirror() {
+        let topo = Topology::mesh(2, 1, &[1], &[]);
+        let mut s: NetSlabs<()> = NetSlabs::build(&topo, 4, 4);
+        let mut drifts = Vec::new();
+        s.audit_mirrors(|m, i, t, r| drifts.push((m, i, t, r)));
+        assert!(drifts.is_empty(), "fresh slabs agree with their buffers");
+        let ps = s.port_slot(1, 1);
+        s.occ[ps * s.vcs + 2] = 3;
+        s.port_occ[ps] = 2;
+        s.buffered[1] = 1;
+        s.audit_mirrors(|m, i, t, r| drifts.push((m, i, t, r)));
+        assert_eq!(
+            drifts,
+            [
+                ("occ", ps * s.vcs + 2, 3, 0),
+                ("port_occ", ps, 2, 0),
+                ("buffered", 1, 1, 0),
+            ]
+        );
     }
 
     #[test]
